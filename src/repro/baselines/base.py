@@ -185,22 +185,6 @@ class StopTheWorldController:
         request = MemoryRequest.bulk(base_addr, True, origin, count, stride)
         self.memctrl.submit_bulk(kind, request)
 
-    def _issue_copy(self, src_kind: DeviceKind, src_addr: int,
-                    dst_kind: DeviceKind, dst_addr: int,
-                    origin: Origin) -> None:
-        def read_done(request: MemoryRequest) -> None:
-            self._issue_write(dst_kind, dst_addr, origin, request.data, None)
-
-        request = MemoryRequest(src_addr, False, origin, callback=read_done)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if not self.memctrl.submit(src_kind, request):
-                self.memctrl.wait_for_slot(src_kind, False, try_submit)
-
-        try_submit()
-
     def _defer_write(self, addr: int, origin: Origin, data, callback,
                      on_accept, reason: str) -> None:
         """Park a write that found no buffer space; acknowledged now and

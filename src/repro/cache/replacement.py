@@ -1,14 +1,14 @@
 """Replacement policies for the set-associative caches.
 
 Only LRU is used by the paper's configuration, but the policy is a
-pluggable object so ablations can swap in others (e.g., FIFO) without
-touching the cache itself.
+pluggable object so ablations can swap in others without touching the
+cache itself.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class LRUPolicy:
@@ -26,16 +26,4 @@ class LRUPolicy:
     @staticmethod
     def victim(entries: "OrderedDict[int, bool]") -> Tuple[int, bool]:
         """Pick and remove the eviction victim; returns (tag, dirty)."""
-        return entries.popitem(last=False)
-
-
-class FIFOPolicy:
-    """First-in-first-out: insertion order, no touch on hit."""
-
-    @staticmethod
-    def touch(entries: "OrderedDict[int, bool]", tag: int) -> None:
-        pass
-
-    @staticmethod
-    def victim(entries: "OrderedDict[int, bool]") -> Tuple[int, bool]:
         return entries.popitem(last=False)

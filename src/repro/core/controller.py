@@ -1166,25 +1166,6 @@ class ThyNVMController:
                 entry.gc_state = GcState.NONE
                 self._absorbed_to_drop.append(entry)
 
-    def _issue_copy(self, src_kind: DeviceKind, src_addr: int,
-                    dst_kind: DeviceKind, dst_addr: int,
-                    origin: Origin) -> None:
-        """Timed read-then-write copy with functional payload transfer."""
-
-        def read_done(request: MemoryRequest) -> None:
-            self._issue_fire_and_forget(dst_kind, dst_addr, True, origin,
-                                        data=request.data)
-
-        request = MemoryRequest(src_addr, False, origin, callback=read_done)
-
-        def try_submit() -> None:
-            if self._crashed:
-                return
-            if not self.memctrl.submit(src_kind, request):
-                self.memctrl.wait_for_slot(src_kind, False, try_submit)
-
-        try_submit()
-
     # ------------------------------------------------------------------
     # Deferred / blocked write retry
     # ------------------------------------------------------------------
@@ -1340,10 +1321,6 @@ class ThyNVMController:
         """Current software-visible contents of a physical block."""
         kind, hw_addr = self._visible_location(block)
         return self.memctrl.functional_store(kind).read(hw_addr)
-
-    def software_view(self, num_blocks: int) -> Dict[int, bytes]:
-        """Functional image of the first ``num_blocks`` physical blocks."""
-        return {b: self.visible_block_bytes(b) for b in range(num_blocks)}
 
     def validate(self) -> None:
         """Check cross-structure invariants (tests call this liberally).

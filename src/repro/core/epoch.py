@@ -134,12 +134,6 @@ class EpochManager:
             reason, self._end_pending = self._end_pending, None
             self.request_end(reason)
 
-    # --- queries -----------------------------------------------------------------
-
-    @property
-    def checkpoint_in_flight(self) -> bool:
-        return self.ckpt_epoch is not None or self.phase is Phase.ENDING
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<EpochManager active={self.active_epoch} "
                 f"ckpt={self.ckpt_epoch} phase={self.phase.value}>")

@@ -11,19 +11,19 @@ Every store speaks the same protocol:
 * block ops — ``write``/``read``/``copy_block``/``erase`` plus
   ``__contains__``/``__len__`` over written block addresses;
 * bulk ops — ``write_run``/``read_run``/``copy_run`` move ``count``
-  consecutive blocks in one call, so a batched bulk run (see
-  docs/PERFORMANCE.md) lands as one buffer splice instead of one store
-  call per 64 B block;
+  consecutive blocks in one call, so a functional page copy (shadow
+  paging, page writeback, recovery) is one buffer splice instead of one
+  store call per 64 B block.  ``write_run`` takes one contiguous
+  bytes-like payload of ``count * block_bytes`` bytes;
 * durability — ``msync()`` pushes contents to the backing medium.  A
   no-op here; :class:`~repro.mem.mmapstore.MmapStore` flushes its
   mapped file.
 
-``write_run`` accepts either one contiguous bytes-like payload of
-``count * block_bytes`` bytes, or a sequence of ``count`` per-block
-payloads where ``None`` entries are skipped (a bulk run may interleave
-payload-free timing traffic with real data).  Unwritten blocks always
-read as zeros; the zero block is cached per store so misses do not
-allocate (``read`` on a cold address is allocation-free).
+The memory controller writes each serviced block with ``write`` at its
+service, bulk-run blocks included, so "serviced means stored" holds
+block by block.  Unwritten blocks always read as zeros; the zero block
+is cached per store so misses do not allocate (``read`` on a cold
+address is allocation-free).
 
 :class:`FunctionalStore` (dict-backed) is the conformance reference:
 the mmap backend is pinned byte-identical to it by a hypothesis
@@ -32,29 +32,10 @@ property test (``tests/mem/test_mmapstore.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
-#: A bulk payload: one contiguous buffer, or per-block chunks
-#: (``None`` entries carry no data and leave the block untouched).
-RunData = Union[bytes, bytearray, memoryview,
-                Sequence[Optional[bytes]]]
-
-
-def _run_chunks(data: RunData, count: int,
-                block_bytes: int) -> Sequence[Optional[bytes]]:
-    """Normalize a bulk payload to ``count`` per-block chunks."""
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        if len(data) != count * block_bytes:
-            raise ValueError(
-                f"run payload must be {count * block_bytes} bytes "
-                f"({count} x {block_bytes}), got {len(data)}")
-        view = memoryview(data)
-        return [bytes(view[index * block_bytes:(index + 1) * block_bytes])
-                for index in range(count)]
-    if len(data) != count:
-        raise ValueError(
-            f"run payload must have {count} block entries, got {len(data)}")
-    return data
+#: A bulk payload: one contiguous buffer of ``count`` blocks.
+RunData = Union[bytes, bytearray, memoryview]
 
 
 class FunctionalStore:
@@ -83,8 +64,14 @@ class FunctionalStore:
     def write_run(self, addr: int, count: int, data: RunData) -> None:
         """Store ``count`` consecutive blocks starting at ``addr``."""
         block_bytes = self.block_bytes
-        for index, chunk in enumerate(_run_chunks(data, count, block_bytes)):
-            self.write(addr + index * block_bytes, chunk)
+        if len(data) != count * block_bytes:
+            raise ValueError(
+                f"run payload must be {count * block_bytes} bytes "
+                f"({count} x {block_bytes}), got {len(data)}")
+        view = memoryview(data)
+        for index in range(count):
+            self._blocks[addr + index * block_bytes] = bytes(
+                view[index * block_bytes:(index + 1) * block_bytes])
 
     def read_run(self, addr: int, count: int) -> bytes:
         """Read ``count`` consecutive blocks as one contiguous buffer."""

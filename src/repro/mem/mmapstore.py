@@ -48,7 +48,7 @@ import mmap
 import os
 import struct
 import zlib
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ConfigError, RecoveryError
 from .datastore import RunData
@@ -332,40 +332,12 @@ class MmapStore:
             self._dirty_lo = base
         if base + count * block_bytes > self._dirty_hi:
             self._dirty_hi = base + count * block_bytes
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            if len(data) != count * block_bytes:
-                raise ValueError(
-                    f"run payload must be {count * block_bytes} bytes "
-                    f"({count} x {block_bytes}), got {len(data)}")
-            self._map[base:base + count * block_bytes] = data
-            self._set_run_bits(index, count)
-        else:
-            if len(data) != count:
-                raise ValueError(
-                    f"run payload must have {count} block entries, "
-                    f"got {len(data)}")
-            # Coalesce contiguous non-None chunks into single splices.
-            start = 0
-            while start < count:
-                if data[start] is None:
-                    start += 1
-                    continue
-                end = start
-                span: List[bytes] = []
-                while end < count and data[end] is not None:
-                    chunk = data[end]
-                    assert chunk is not None
-                    if len(chunk) != block_bytes:
-                        raise ValueError(
-                            f"payload must be {block_bytes} bytes, "
-                            f"got {len(chunk)}")
-                    span.append(chunk)
-                    end += 1
-                offset = base + start * block_bytes
-                self._map[offset:offset + len(span) * block_bytes] = (
-                    b"".join(span))
-                self._set_run_bits(index + start, len(span))
-                start = end
+        if len(data) != count * block_bytes:
+            raise ValueError(
+                f"run payload must be {count * block_bytes} bytes "
+                f"({count} x {block_bytes}), got {len(data)}")
+        self._map[base:base + count * block_bytes] = data
+        self._set_run_bits(index, count)
         if self._sync_on_write:
             self._map.flush()
 

@@ -187,9 +187,6 @@ class BoundedQueue:
     def __bool__(self) -> bool:
         return self._size > 0
 
-    def peek(self) -> Optional[MemoryRequest]:
-        return self._items[0] if self._items else None
-
     def items(self):
         """Iterate queued *entries* oldest-first (a bulk run appears
         once; its occupied slots are ``entry.queued``).  Write fences
@@ -344,8 +341,3 @@ class BoundedQueue:
         self._size = 0
         self._demand_entries = 0
         return count
-
-    def _wake_one(self) -> None:
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import small_test_config
 from repro.mem.controller import DeviceKind, MemoryController
+from repro.mem.datastore import FunctionalStore
 from repro.sim.engine import Engine
 from repro.sim.request import MemoryRequest, Origin
 from repro.stats.collector import StatsCollector
@@ -105,8 +106,7 @@ def test_bank_parallelism_beats_serial_service(setup):
     assert elapsed < cfg.num_banks * single / 2
 
 
-def test_crash_loses_queued_writes_keeps_serviced(setup):
-    engine, controller, _stats, _cfg = setup
+def _crash_after_single(engine, controller):
     durable = b"d" * 64
     lost = b"l" * 64
     controller.submit(DeviceKind.NVM, _write(0, durable))
@@ -114,8 +114,36 @@ def test_crash_loses_queued_writes_keeps_serviced(setup):
     controller.submit(DeviceKind.NVM, _write(0, lost))
     controller.crash()          # before the second write services
     engine.run_until_idle()
+    return {0: durable}
+
+
+def _crash_mid_run(engine, controller):
+    """A data-carrying write run, cut after its first blocks service."""
+    blocks, serviced = 8, 3
+    payloads = [bytes([index + 1]) * 64 for index in range(blocks)]
+
+    def block_done(_run, index, _payload):
+        if index == serviced - 1:
+            controller.crash()
+
+    run = MemoryRequest.bulk(0, True, Origin.CHECKPOINT, blocks, 64,
+                             callback=block_done, carries_data=True)
+    for payload in payloads:
+        assert controller.bulk_admit_next(DeviceKind.NVM, run, payload)
+    engine.run_until_idle()
+    assert run.completed == serviced
+    return {index * 64: payloads[index] if index < serviced else bytes(64)
+            for index in range(blocks)}
+
+
+@pytest.mark.parametrize("scenario", [_crash_after_single, _crash_mid_run],
+                         ids=["single", "bulk-run"])
+def test_crash_loses_queued_writes_keeps_serviced(setup, scenario):
+    engine, controller, _stats, _cfg = setup
+    expected = scenario(engine, controller)
     store = controller.functional_store(DeviceKind.NVM)
-    assert store.read(0) == durable
+    for addr, data in expected.items():
+        assert store.read(addr) == data
 
 
 def test_crash_erases_dram_not_nvm(setup):
@@ -126,6 +154,18 @@ def test_crash_erases_dram_not_nvm(setup):
     controller.crash()
     assert controller.functional_store(DeviceKind.DRAM).read(0) == bytes(64)
     assert controller.functional_store(DeviceKind.NVM).read(0) == b"p" * 64
+
+
+def test_msync_after_crash_does_not_reach_the_store(setup, monkeypatch):
+    _engine, controller, _stats, _cfg = setup
+    synced = []
+    monkeypatch.setattr(FunctionalStore, "msync",
+                        lambda store: synced.append(store))
+    controller.msync()
+    assert len(synced) == 2     # both devices
+    controller.crash()
+    controller.msync()          # power is off: nothing to sync
+    assert len(synced) == 2
 
 
 def test_submit_after_crash_rejected(setup):

@@ -95,15 +95,6 @@ def test_write_run_contiguous_buffer():
     assert store.read(32) == b"C" * 8
 
 
-def test_write_run_sequence_with_none_holes():
-    store = FunctionalStore(8)
-    store.write(24, b"x" * 8)
-    store.write_run(16, 3, [b"A" * 8, None, b"C" * 8])
-    assert store.read(16) == b"A" * 8
-    assert store.read(24) == b"x" * 8     # hole left untouched
-    assert store.read(32) == b"C" * 8
-
-
 def test_read_run_fills_unwritten_with_zeros():
     store = FunctionalStore(8)
     store.write(8, b"y" * 8)
@@ -122,9 +113,9 @@ def test_write_run_rejects_wrong_sizes():
     with pytest.raises(ValueError):
         store.write_run(0, 2, b"tooshort")
     with pytest.raises(ValueError):
-        store.write_run(0, 2, [b"x" * 8])            # wrong chunk count
+        store.write_run(0, 2, [b"x" * 8])            # not one buffer
     with pytest.raises(ValueError):
-        store.write_run(0, 2, [b"x" * 8, b"short"])  # wrong chunk size
+        store.write_run(0, 2, [b"x" * 8, b"short"])  # not one buffer
 
 
 def test_null_store_bulk_ops_inert():
