@@ -548,21 +548,14 @@ class ThyNVMController:
         hint keeps any re-created entry pointing its writes away from
         the still-referenced region A copy.
         """
-        fallback: Optional[BlockEntry] = None
-        for block, entry in self.btt:
-            if (entry.has_working_copy
-                    or entry.gc_state is not GcState.NONE
-                    or entry.coop_page is not None
-                    or entry.absorbed_by_page):
-                continue
-            if entry.stable_region == REGION_B:
-                self.btt.remove(block)
-                return True
-            if fallback is None:
-                fallback = entry
-        if fallback is None:
+        entry = self.btt.first_idle(REGION_B)
+        if entry is not None:
+            self.btt.remove(entry.block)
+            return True
+        entry = self.btt.first_idle(REGION_A)
+        if entry is None:
             return False
-        block = fallback.block
+        block = entry.block
         src = self.layout.region_block_addr(REGION_A, block)
         dst = self.layout.home_block_addr(block)
         nvm = self.memctrl.functional_store(DeviceKind.NVM)
@@ -822,10 +815,12 @@ class ThyNVMController:
             if entry.coop_page is None:
                 entry.stable_region = other_region(entry.stable_region)
             self.btt.mark_dirty(entry.block)
+            self.btt.note_idle(entry)
         for entry in self._plan_pending_entries:
             entry.pending_epoch = None
             entry.stable_region = other_region(entry.stable_region)
             self.btt.mark_dirty(entry.block)
+            self.btt.note_idle(entry)
         for pe in self._plan_pages:
             pe.stable_region = other_region(pe.stable_region)
             pe.dirty_ckpt = set()
@@ -1330,6 +1325,7 @@ class ThyNVMController:
         * temps belong only to the active or in-flight-checkpoint epoch,
         * PTT pages occupy distinct, allocated DRAM slots,
         * coop entries reference live PTT pages,
+        * every idle BTT entry is in the BTT's idle index,
         * dirty-page index entries are PTT-resident.
         """
         active = self.epochs.active_epoch
@@ -1346,9 +1342,14 @@ class ThyNVMController:
                 if entry is None or epoch not in entry.temp_epochs:
                     raise ProtocolError(
                         f"temp index block {block}@{epoch} not in BTT")
+        indexed = set(self.btt.idle_records())
         for block, entry in self.btt:
             if entry.block != block:
                 raise ProtocolError(f"BTT key/entry mismatch at {block}")
+            if (entry.idle and (entry.stable_region, entry.order_key)
+                    not in indexed):
+                raise ProtocolError(
+                    f"idle BTT entry {block} missing from the idle index")
             for epoch in sorted(entry.temp_epochs):
                 if epoch == ckpt:
                     # The planner consumed this epoch's index slice; the

@@ -16,6 +16,9 @@ Key fields of a :class:`BlockEntry` (block remapping scheme):
 * ``temp_epochs`` — epochs that have a working copy in a DRAM
   temporary slot (at most two: the epoch under checkpoint and the
   active epoch).
+* ``order_key`` — ``(seq, block)``, where ``seq`` is the entry's
+  insertion sequence number in its BTT: entries in BTT iteration order
+  have increasing keys.
 
 A :class:`PageEntry` (page writeback scheme) always has its working
 copy in a DRAM page slot; ``stable_region`` names the NVM region with
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 
 class GcState(enum.Enum):
@@ -55,10 +58,19 @@ class BlockEntry:
     # entry stays (inert) until the next commit makes the PTT entry
     # durable, then it is dropped.
     absorbed_by_page: bool = False
+    # Also the record the BTT's idle index holds, so that indexing an
+    # entry allocates nothing.
+    order_key: Tuple[int, int] = (0, 0)
 
     @property
-    def has_working_copy(self) -> bool:
-        return self.pending_epoch is not None or bool(self.temp_epochs)
+    def idle(self) -> bool:
+        """No working copy and no scheme work in progress: the entry's
+        only data is C_last, so it may be evicted or consolidated."""
+        return (self.pending_epoch is None
+                and not self.temp_epochs
+                and self.gc_state is GcState.NONE
+                and self.coop_page is None
+                and not self.absorbed_by_page)
 
     def newest_temp_epoch(self) -> Optional[int]:
         return max(self.temp_epochs) if self.temp_epochs else None
