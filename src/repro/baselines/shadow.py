@@ -14,7 +14,6 @@ role of the shadow page table and flips atomically at each commit.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Set, Tuple
 
 from ..config import SystemConfig
@@ -26,14 +25,6 @@ from ..sim.engine import Engine
 from ..sim.request import Origin
 from ..stats.collector import StatsCollector
 from .base import StopTheWorldController
-
-# Issue page copies and page flushes as bulk runs — one queue entry and
-# one request object per page instead of one per block — servicing and
-# timing stay block-by-block identical (docs/PERFORMANCE.md).  The
-# per-block reference path is kept selectable so the equivalence
-# property test can diff the two cores in one process.
-USE_BULK_RUNS = os.environ.get("REPRO_REFERENCE_CORE", "").lower() not in (
-    "1", "true", "yes")
 
 
 class ShadowPagingController(StopTheWorldController):
@@ -113,20 +104,12 @@ class ShadowPagingController(StopTheWorldController):
         # to the same slot.  One run splice per page, not one store call
         # per block (docs/PERSISTENCE.md).
         dram.write_run(dst_base, blocks, nvm.read_run(src_base, blocks))
-        if USE_BULK_RUNS:
-            self._issue_bulk_read_traffic(DeviceKind.NVM, src_base,
-                                          Origin.MIGRATION, blocks,
-                                          block_bytes)
-            self._issue_bulk_write_traffic(DeviceKind.DRAM, dst_base,
-                                           Origin.MIGRATION, blocks,
-                                           block_bytes)
-        else:
-            for offset in range(blocks):
-                step = offset * block_bytes
-                self._issue_read_traffic(DeviceKind.NVM, src_base + step,
-                                         Origin.MIGRATION)
-                self._issue_write(DeviceKind.DRAM, dst_base + step,
-                                  Origin.MIGRATION, None, None)
+        # One bulk run per device instead of one request per block;
+        # servicing and timing stay block by block (docs/PERFORMANCE.md).
+        self._issue_bulk_read_traffic(DeviceKind.NVM, src_base,
+                                      Origin.MIGRATION, blocks, block_bytes)
+        self._issue_bulk_write_traffic(DeviceKind.DRAM, dst_base,
+                                       Origin.MIGRATION, blocks, block_bytes)
         if self.layout.slots_free < self.layout.slots_total // 8:
             self.force_epoch_end("dram_full")
         return slot
@@ -166,22 +149,13 @@ class ShadowPagingController(StopTheWorldController):
             self._flush_plan.append((page, slot, dst_region))
             src_base = self.layout.page_slot_addr(slot)
             dst_base = self.layout.region_page_addr(dst_region, page)
-            if USE_BULK_RUNS:
-                jobs.append(Job(dst_kind=DeviceKind.NVM,
-                                dst_addr=dst_base,
-                                origin=Origin.CHECKPOINT,
-                                src_kind=DeviceKind.DRAM,
-                                src_addr=src_base,
-                                count=self.config.blocks_per_page,
-                                stride=self.config.block_bytes))
-            else:
-                for offset in range(self.config.blocks_per_page):
-                    step = offset * self.config.block_bytes
-                    jobs.append(Job(dst_kind=DeviceKind.NVM,
-                                    dst_addr=dst_base + step,
-                                    origin=Origin.CHECKPOINT,
-                                    src_kind=DeviceKind.DRAM,
-                                    src_addr=src_base + step))
+            jobs.append(Job(dst_kind=DeviceKind.NVM,
+                            dst_addr=dst_base,
+                            origin=Origin.CHECKPOINT,
+                            src_kind=DeviceKind.DRAM,
+                            src_addr=src_base,
+                            count=self.config.blocks_per_page,
+                            stride=self.config.block_bytes))
         if jobs:
             probes.notify("table-persist", "pagemap")
         return [jobs]

@@ -5,54 +5,41 @@ and durability sweeps) all share one shape: vary a configuration field,
 re-run a fixed workload, collect a metric series.  :func:`sweep_config`
 factors that shape out so new studies are one-liners.
 
-Both sweeps accept the workload either as a zero-argument trace
-factory (legacy, runs serially in-process) or as a picklable
-:class:`~repro.workloads.tracespec.TraceSpec`; with a spec the declared
-point list is submitted through :mod:`repro.harness.parallel`, so
-``jobs``/``cache_dir`` fan the sweep out and reuse cached results.
-``jobs=1`` is the serial fallback and produces identical results.
+Both sweeps take the workload as a picklable
+:class:`~repro.workloads.tracespec.TraceSpec` and submit the declared
+point list through :mod:`repro.harness.parallel`, so ``jobs``/
+``cache_dir`` fan the sweep out and reuse cached results.  ``jobs=1``
+is the serial fallback and produces identical results.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Callable, Dict, Iterable, Optional
 
 from ..config import SystemConfig
-from ..cpu.trace import Op
-from ..errors import ConfigError
 from ..stats.collector import StatsCollector
 from ..workloads.tracespec import TraceSpec
 from .parallel import ProgressFn, RunPoint, run_points
-from .runner import run_workload
-
-TraceSource = Union[TraceSpec, Callable[[], Iterable[Op]]]
 
 
-def _run_sweep(points, trace: TraceSource, jobs: int,
+def _run_sweep(points, trace: TraceSpec, jobs: int,
                cache_dir: Optional[os.PathLike],
                progress: Optional[ProgressFn]):
     """Shared sweep body: points is [(result_key, system, config), ...]."""
-    if isinstance(trace, TraceSpec):
-        run_list = [RunPoint(system=system, trace=trace, config=config,
-                             label=f"{system}/{key}")
-                    for key, system, config in points]
-        results = run_points(run_list, jobs=jobs, cache_dir=cache_dir,
-                             progress=progress)
-        return [(key, result.stats)
-                for (key, _, _), result in zip(points, results)]
-    if jobs != 1 or cache_dir is not None:
-        raise ConfigError(
-            "parallel or cached sweeps need a picklable TraceSpec, not a "
-            "trace factory (see repro.workloads.tracespec)")
-    return [(key, run_workload(system, trace(), config).stats)
-            for key, system, config in points]
+    run_list = [RunPoint(system=system, trace=trace, config=config,
+                         label=f"{system}/{key}")
+                for key, system, config in points]
+    results = run_points(run_list, jobs=jobs, cache_dir=cache_dir,
+                         progress=progress)
+    return [(key, result.stats)
+            for (key, _, _), result in zip(points, results)]
 
 
 def sweep_config(
     field: str,
     values: Iterable[object],
-    trace_factory: TraceSource,
+    trace: TraceSpec,
     system: str = "thynvm",
     base_config: Optional[SystemConfig] = None,
     metric: Optional[Callable[[StatsCollector], object]] = None,
@@ -63,21 +50,20 @@ def sweep_config(
     """Run the workload once per value of ``config.<field>``.
 
     Returns ``{value: metric(stats)}`` (the full :class:`StatsCollector`
-    when ``metric`` is None).  Factory-based traces are re-created per
-    run so generator workloads replay identically; spec-based traces are
-    rebuilt the same way inside each worker.
+    when ``metric`` is None).  The trace is rebuilt from ``trace`` for
+    every run, so generator workloads replay identically.
     """
     base = base_config if base_config is not None else SystemConfig()
     points = [(value, system, base.with_overrides(**{field: value}))
               for value in values]
-    ran = _run_sweep(points, trace_factory, jobs, cache_dir, progress)
+    ran = _run_sweep(points, trace, jobs, cache_dir, progress)
     return {value: metric(stats) if metric is not None else stats
             for value, stats in ran}
 
 
 def sweep_systems(
     systems: Iterable[str],
-    trace_factory: TraceSource,
+    trace: TraceSpec,
     config: Optional[SystemConfig] = None,
     metric: Optional[Callable[[StatsCollector], object]] = None,
     jobs: int = 1,
@@ -87,6 +73,6 @@ def sweep_systems(
     """Run the same workload across systems (one row of any figure)."""
     config = config if config is not None else SystemConfig()
     points = [(system, system, config) for system in systems]
-    ran = _run_sweep(points, trace_factory, jobs, cache_dir, progress)
+    ran = _run_sweep(points, trace, jobs, cache_dir, progress)
     return {system: metric(stats) if metric is not None else stats
             for system, stats in ran}

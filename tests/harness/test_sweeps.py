@@ -2,16 +2,14 @@
 
 from repro.config import small_test_config
 from repro.harness.sweeps import sweep_config, sweep_systems
-from repro.workloads.micro import random_trace
+from repro.workloads.tracespec import micro_spec
 
-
-def factory():
-    return random_trace(64 * 1024, 300, seed=2)
+SPEC = micro_spec("random", 64 * 1024, 300, seed=2)
 
 
 def test_sweep_config_varies_field():
     results = sweep_config(
-        "btt_entries", (64, 256), factory,
+        "btt_entries", (64, 256), SPEC,
         base_config=small_test_config(),
         metric=lambda stats: stats.nvm_write_blocks)
     assert set(results) == {64, 256}
@@ -19,14 +17,14 @@ def test_sweep_config_varies_field():
 
 
 def test_sweep_config_default_metric_is_stats():
-    results = sweep_config("epoch_cycles", (30_000,), factory,
+    results = sweep_config("epoch_cycles", (30_000,), SPEC,
                            base_config=small_test_config())
     stats = results[30_000]
     assert stats.instructions > 0
 
 
 def test_sweep_systems():
-    results = sweep_systems(("ideal_dram", "thynvm"), factory,
+    results = sweep_systems(("ideal_dram", "thynvm"), SPEC,
                             config=small_test_config(),
                             metric=lambda stats: stats.cycles)
     assert results["thynvm"] >= results["ideal_dram"]

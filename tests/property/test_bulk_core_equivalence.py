@@ -2,37 +2,39 @@
 
 The shadow-paging baseline is the heaviest bulk-run user: every
 copy-on-write and every page checkpoint is issued as one read run and
-one write run instead of a per-block request storm.  The pre-rewrite
-per-block path is kept selectable (``repro.baselines.shadow
-.USE_BULK_RUNS``, or the ``REPRO_REFERENCE_CORE`` environment variable)
-precisely so this test can drive random workloads through both cores
-and require byte-identical ``summary()`` output — cycles, traffic
-breakdowns, epoch counts, stall attribution, everything.
+one write run instead of a per-block request storm.  The per-block
+reference (``PerBlockShadow`` in this package's conftest) issues the
+same traffic one single-block request at a time, so this test drives
+random workloads through both cores and requires byte-identical
+``summary()`` output — cycles, traffic breakdowns, epoch counts, stall
+attribution, everything.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.baselines.shadow as shadow
 from repro.harness.experiments import MICRO_FOOTPRINT, experiment_config
 from repro.harness.runner import execute, run_workload
 from repro.harness.systems import build_system
 from repro.workloads.tracespec import micro_spec
 
+from .conftest import per_block_core
+
+
+def _core(use_bulk_runs: bool):
+    return contextlib.nullcontext() if use_bulk_runs else per_block_core()
+
 
 def _shadow_summary(workload: str, ops: int, seed: int,
                     use_bulk_runs: bool) -> dict:
-    saved = shadow.USE_BULK_RUNS
-    shadow.USE_BULK_RUNS = use_bulk_runs
-    try:
+    with _core(use_bulk_runs):
         spec = micro_spec(workload, MICRO_FOOTPRINT, ops, seed=seed)
         result = run_workload("shadow", spec.build(), experiment_config())
-    finally:
-        shadow.USE_BULK_RUNS = saved
     # Round-trip through JSON so "byte-identical" means the serialized
     # form, exactly like the golden-determinism guard.
     return json.loads(json.dumps(result.stats.summary(), sort_keys=True))
@@ -53,14 +55,10 @@ def test_bulk_core_collapses_issued_request_count():
     magnitude fewer producer-API requests for the same per-block
     traffic (the serviced-block counters are unchanged)."""
     def run(use_bulk_runs: bool):
-        saved = shadow.USE_BULK_RUNS
-        shadow.USE_BULK_RUNS = use_bulk_runs
-        try:
+        with _core(use_bulk_runs):
             spec = micro_spec("random", MICRO_FOOTPRINT, 2000, seed=1)
             machine = build_system("shadow", experiment_config())
             result = execute(machine, spec.build())
-        finally:
-            shadow.USE_BULK_RUNS = saved
         stats = result.stats
         blocks = (stats.nvm_reads.total() + stats.nvm_writes.total()
                   + stats.dram_reads.total() + stats.dram_writes.total())
