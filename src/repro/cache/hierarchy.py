@@ -60,8 +60,14 @@ class CacheHierarchy:
             self._pressure_callback()
 
     def access(self, block_addr: int, is_write: bool,
-               on_done: Callable[[], None]) -> None:
-        """One block-sized load or store; ``on_done`` fires at completion."""
+               on_done: Callable[[], None]) -> Optional[int]:
+        """One block-sized load or store.
+
+        A hit schedules nothing: it returns its latency, and the caller
+        resumes that many cycles later.  A miss returns None and calls
+        ``on_done`` from inside the memory system's completion, once the
+        fill is in place.
+        """
         if is_write:
             self._check_pressure()
         cfg = self.config
@@ -69,21 +75,16 @@ class CacheHierarchy:
             self.stats.cache_hits.add("L1")
             if is_write:
                 self.l1.mark_dirty(block_addr)
-            self.engine.schedule(cfg.l1.hit_latency, on_done)
-            return
+            return cfg.l1.hit_latency
         if self.l2.lookup(block_addr):
             self.stats.cache_hits.add("L2")
-            latency = cfg.l1.hit_latency + cfg.l2.hit_latency
             self._fill(block_addr, into_l2=False, dirty=is_write)
-            self.engine.schedule(latency, on_done)
-            return
+            return cfg.l1.hit_latency + cfg.l2.hit_latency
         if self.l3.lookup(block_addr):
             self.stats.cache_hits.add("L3")
-            latency = (cfg.l1.hit_latency + cfg.l2.hit_latency
-                       + cfg.l3.hit_latency)
             self._fill(block_addr, into_l2=True, dirty=is_write)
-            self.engine.schedule(latency, on_done)
-            return
+            return (cfg.l1.hit_latency + cfg.l2.hit_latency
+                    + cfg.l3.hit_latency)
 
         self.stats.cache_misses.add("LLC")
         lookup_latency = (cfg.l1.hit_latency + cfg.l2.hit_latency
@@ -95,6 +96,7 @@ class CacheHierarchy:
                 lambda _req: self._miss_fill(block_addr, is_write, on_done))
 
         self.engine.schedule(lookup_latency, issue)
+        return None
 
     def _miss_fill(self, block_addr: int, is_write: bool,
                    on_done: Callable[[], None]) -> None:

@@ -6,11 +6,19 @@ split into block-granularity cache accesses.  The core exposes the
 stall interface the consistency controllers use at epoch boundaries
 (``stall_at_next_boundary`` / ``resume``), and attributes every stalled
 cycle to a cause in the shared :class:`StatsCollector`.
+
+The core runs ahead without the event heap where it can: after each
+op, and after each cache hit, it asks :meth:`Engine.advance` to move
+the clock to when its next event would have fired and keeps executing
+inline.  Only events the core scheduled itself (``_step`` and the hit
+continuation) skip this way; a miss completes inside the memory
+controller's own event, so that continuation always schedules.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, List, Optional
 
 from ..config import SystemConfig
 from ..errors import SimulationError
@@ -63,60 +71,97 @@ class Core:
         self.engine.schedule(0, self._step)
 
     def _step(self) -> None:
-        if self._killed or self.finished or self._trace is None:
-            return
-        if self._persist_waiting:
-            return
-        self._at_boundary = True
-        if self._pending_stall is not None:
-            self._enter_stall()
-            return
-        if self._stalled:
-            return
-        try:
-            op = next(self._trace)
-        except StopIteration:
-            self.finished = True
-            if self._on_finish is not None:
-                self._on_finish()
-            return
-        self._execute(op)
+        engine = self.engine
+        while True:
+            if self._killed or self.finished or self._trace is None:
+                return
+            if self._persist_waiting:
+                return
+            self._at_boundary = True
+            if self._pending_stall is not None:
+                self._enter_stall()
+                return
+            if self._stalled:
+                return
+            try:
+                op = next(self._trace)
+            except StopIteration:
+                self.finished = True
+                if self._on_finish is not None:
+                    self._on_finish()
+                return
+            delay = self._execute(op)
+            if delay is None:
+                return
+            if not engine.advance(delay):
+                engine.schedule(delay, self._step)
+                return
 
-    def _execute(self, op: Op) -> None:
+    def _execute(self, op: Op) -> Optional[int]:
+        """Start ``op``; return the cycles until the next op may start,
+        or None when a callback resumes the core instead."""
         self._at_boundary = False
         if op.kind is OpKind.WORK:
             self.stats.instructions += op.size
             self.state.advance()
-            self.engine.schedule(op.size, self._step)
-        elif op.kind is OpKind.TXN:
+            return op.size
+        if op.kind is OpKind.TXN:
             self.stats.transactions += 1
-            self.engine.schedule(0, self._step)
-        elif op.kind is OpKind.PERSIST:
+            return 0
+        if op.kind is OpKind.PERSIST:
             self.stats.instructions += 1
             # The persist instruction itself retires; the core then
             # waits (at an instruction boundary, so epoch flushes can
             # proceed) until the memory system reports durability.
             self._at_boundary = True
             if self.persist_port is None:
-                self.engine.schedule(1, self._step)
-            else:
-                self._persist_waiting = True
-                self.persist_port(self._persist_done)
-        else:
-            is_write = op.kind is OpKind.WRITE
-            self.stats.instructions += 1
-            self.state.advance()
-            blocks = [self.addresses.block_addr(b)
-                      for b in self.addresses.iter_blocks(op.addr, op.size)]
-            self._access_blocks(blocks, 0, is_write)
+                return 1
+            self._persist_waiting = True
+            self.persist_port(self._persist_done)
+            return None
+        self.stats.instructions += 1
+        self.state.advance()
+        blocks = [self.addresses.block_addr(b)
+                  for b in self.addresses.iter_blocks(op.addr, op.size)]
+        return self._access_blocks(blocks, 0, op.kind is OpKind.WRITE, True)
 
-    def _access_blocks(self, blocks, index: int, is_write: bool) -> None:
-        if index >= len(blocks):
-            self.engine.schedule(1, self._step)
-            return
-        self.hierarchy.access(
-            blocks[index], is_write,
-            lambda: self._access_blocks(blocks, index + 1, is_write))
+    def _access_blocks(self, blocks: List[int], index: int, is_write: bool,
+                       may_skip: bool) -> Optional[int]:
+        """Access ``blocks[index:]`` one at a time.
+
+        Returns the cycles until the next op once every block hit, or
+        None when a miss fill or a scheduled hit continuation carries
+        the op on.  ``may_skip`` is False on the miss path, whose caller
+        goes on working after we return.
+        """
+        engine = self.engine
+        while index < len(blocks):
+            latency = self.hierarchy.access(
+                blocks[index], is_write,
+                partial(self._miss_done, blocks, index + 1, is_write))
+            index += 1
+            if latency is None:
+                return None
+            if not (may_skip and engine.advance(latency)):
+                engine.schedule(latency, self._hit_done, blocks, index,
+                                is_write)
+                return None
+        return 1
+
+    def _hit_done(self, blocks: List[int], index: int,
+                  is_write: bool) -> None:
+        delay = self._access_blocks(blocks, index, is_write, True)
+        if delay is not None:
+            if self.engine.advance(delay):
+                self._step()
+            else:
+                self.engine.schedule(delay, self._step)
+
+    def _miss_done(self, blocks: List[int], index: int,
+                   is_write: bool) -> None:
+        delay = self._access_blocks(blocks, index, is_write, False)
+        if delay is not None:
+            self.engine.schedule(delay, self._step)
 
     def _persist_done(self) -> None:
         if self._killed:

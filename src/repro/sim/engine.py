@@ -23,7 +23,14 @@ Hot-path design notes (docs/PERFORMANCE.md):
   ``until``), never ticking through idle cycles.  The jump is clamped
   to be monotonic, preserving the invariant that :meth:`schedule_at`
   enforces eagerly — an event time in the past is rejected at the
-  offending call site, not when the heap later pops it.
+  offending call site, not when the heap later pops it;
+* a callback that would schedule its own continuation as the very next
+  event may instead call :meth:`advance` and carry on inline: the
+  engine moves the clock only when no other event, no ``until`` bound
+  and no ``max_events`` budget could tell the difference, so the run
+  is the same, event for event, minus the heap round trip.  Each such
+  skip is charged to the ``max_events`` budget like the event it
+  replaces, but :attr:`events_fired` counts heap events only.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ from .event import Event
 # outnumber the live events (amortized O(1) per cancel).
 _COMPACT_MIN_CANCELLED = 64
 
+# Stands in for "no bound" on run()'s stop time and event budget.
+_UNBOUNDED = 1 << 62
+
 
 class Engine:
     """Deterministic single-threaded event loop."""
@@ -49,6 +59,12 @@ class Engine:
         self._events_fired = 0
         self._live = 0              # scheduled, not yet fired or cancelled
         self._cancelled_in_heap = 0
+        # Bounds of the innermost run(): the last cycle it may reach and
+        # the events/skips it may still spend.  A zero budget outside
+        # run() makes advance() refuse.
+        self._stop = 0
+        self._budget = 0
+        self._exhausted = False
 
     # --- scheduling ----------------------------------------------------
 
@@ -101,7 +117,9 @@ class Engine:
 
         ``until`` stops the run once simulated time would pass that cycle
         (events at exactly ``until`` still fire).  ``max_events`` is a
-        safety valve for tests.  Returns the number of events fired.
+        safety valve for tests; every :meth:`advance` skip inside the run
+        spends one unit of it, like the event it stands in for.  Returns
+        the number of events fired.
 
         Time only moves forward: the end-of-run skip to ``until`` is
         clamped so a bounded run can never rewind the clock below a
@@ -113,38 +131,71 @@ class Engine:
         queue = self._queue
         pop = heapq.heappop
         now = self.now
-        while queue:
-            event = queue[0]
-            time = event[0]
-            if until is not None and time > until:
-                if until > now:
+        outer = self._stop, self._budget
+        self._stop = _UNBOUNDED if until is None else until
+        self._budget = _UNBOUNDED if max_events is None else max_events
+        try:
+            while queue:
+                event = queue[0]
+                time = event[0]
+                if until is not None and time > until:
+                    if until > now:
+                        self.now = until
+                    break
+                pop(queue)
+                callback = event[2]
+                if callback is None:
+                    self._cancelled_in_heap -= 1
+                    continue
+                if time < now:
+                    raise SimulationError("event heap produced a past event")
+                self.now = now = time
+                self._live -= 1
+                event._owner = None      # fired: a later cancel() is a no-op
+                self._budget -= 1        # charged before the callback runs
+                callback(*event[3])
+                now = self.now
+                fired += 1
+                if self._budget <= 0:
+                    break
+            else:
+                if until is not None and until > now:
                     self.now = until
-                break
-            pop(queue)
-            callback = event[2]
-            if callback is None:
-                self._cancelled_in_heap -= 1
-                continue
-            if time < now:
-                raise SimulationError("event heap produced a past event")
-            self.now = now = time
-            self._live -= 1
-            event._owner = None      # fired: a later cancel() is a no-op
-            callback(*event[3])
-            now = self.now
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        else:
-            if until is not None and until > now:
-                self.now = until
+        finally:
+            self._exhausted = self._budget <= 0
+            self._stop, self._budget = outer
         self._events_fired += fired
         return fired
 
+    def advance(self, delay: int) -> bool:
+        """Move the clock ``delay`` cycles forward in place of an event.
+
+        A callback that is about to schedule its own continuation
+        ``delay`` cycles ahead calls this first; on True it continues
+        inline at the new :attr:`now`, on False it schedules as usual.
+        The skip is taken only when it cannot be observed: inside
+        :meth:`run`, with ``now + delay`` strictly before the next live
+        event (at an equal time the older event fires first), not past
+        ``until``, and with ``max_events`` budget left, of which it
+        spends one unit.  Callers must own the event they are in: a
+        continuation invoked synchronously by another component must
+        not skip, because that component resumes after it returns.
+        """
+        target = self.now + delay
+        if self._budget <= 0 or target > self._stop:
+            return False
+        next_time = self.peek_time()
+        if next_time is not None and next_time <= target:
+            return False
+        self.now = target
+        self._budget -= 1
+        return True
+
     def run_until_idle(self, max_events: int = 100_000_000) -> int:
-        """Run until no events remain (bounded by ``max_events``)."""
+        """Run until no events remain (bounded by ``max_events`` events
+        and :meth:`advance` skips)."""
         fired = self.run(max_events=max_events)
-        if self._queue and fired >= max_events:
+        if self._queue and self._exhausted:
             raise SimulationError("simulation exceeded max_events; likely livelock")
         return fired
 
@@ -165,8 +216,9 @@ class Engine:
         seq)`` key, so filtering + heapify preserves firing order
         exactly.
         """
-        self._queue = [event for event in self._queue if event[2] is not None]
-        heapq.heapify(self._queue)
+        queue = self._queue        # in place: a running run() holds it
+        queue[:] = [event for event in queue if event[2] is not None]
+        heapq.heapify(queue)
         self._cancelled_in_heap = 0
 
     # --- introspection -----------------------------------------------------
@@ -175,7 +227,8 @@ class Engine:
         """Timestamp of the next live event, or None when idle.
 
         The time-skip fast path's target: when everything is idle the
-        clock moves straight here on the next :meth:`run` step.
+        clock moves straight here on the next :meth:`run` step, and
+        :meth:`advance` may move it anywhere short of it.
         """
         queue = self._queue
         while queue and queue[0][2] is None:

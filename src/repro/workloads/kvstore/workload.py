@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
-
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from ...cpu.trace import Op, persist, txn, work
 from ...errors import WorkloadError
@@ -72,24 +70,39 @@ class KVWorkload:
             store = BPlusTree(memory, allocator)
         return memory, allocator, store
 
+    def warm_store(self):
+        """Build the store and insert ``preload`` entries unrecorded.
+
+        Returns ``(rng, memory, store, value_for)``, the RNG positioned
+        after the preload's draws.  The store's set-up writes (e.g. the
+        rbtree NIL sentinel) go with a preload, else to the first txn.
+        """
+        rng = random.Random(self.seed)
+        memory, _allocator, store = self.build_store()
+        value_for = value_maker(self.request_size)
+        if self.preload > 0:
+            memory.drain_ops()
+            memory.recording = False
+            for _ in range(self.preload):
+                key = rng.randrange(1, self.key_space)
+                store.insert(key, value_for(key))
+            memory.recording = True
+        return rng, memory, store, value_for
+
+
+def value_maker(size: int) -> Callable[[int], bytes]:
+    """Key *k*'s ``size``-byte value: byte *i* is ``(k * 31 + i) & 0xFF``."""
+    ramp = bytes(range(256)) * (size // 256 + 2)
+
+    def value_for(key: int) -> bytes:
+        start = (key * 31) & 0xFF
+        return ramp[start:start + size]
+    return value_for
+
 
 def kv_trace(config: KVWorkload) -> Iterator[Op]:
     """Generate the memory trace of one key-value-store run."""
-    rng = random.Random(config.seed)
-    memory, _allocator, store = config.build_store()
-
-    def value_for(key: int) -> bytes:
-        return bytes([(key * 31 + i) & 0xFF
-                      for i in range(config.request_size)])
-
-    # Warm the store silently: discard the preload's accesses.
-    live = set()
-    for _ in range(config.preload):
-        key = rng.randrange(1, config.key_space)
-        store.insert(key, value_for(key))
-        live.add(key)
-        memory.drain_ops()
-
+    rng, memory, store, value_for = config.warm_store()
     for index in range(config.num_ops):
         dice = rng.random()
         key = rng.randrange(1, config.key_space)
@@ -98,10 +111,8 @@ def kv_trace(config: KVWorkload) -> Iterator[Op]:
             store.search(key)
         elif dice < config.search_frac + config.insert_frac:
             store.insert(key, value_for(key))
-            live.add(key)
         else:
             store.delete(key)
-            live.discard(key)
         yield from memory.drain_ops()
         yield txn()
         if (config.persist_every

@@ -76,19 +76,7 @@ def ycsb_trace(mix: str, **kwargs) -> Iterator[Op]:
 
     # E (scan) and F (read-modify-write) need custom per-transaction
     # behaviour: drive the store directly (same machinery as kv_trace).
-    import random
-
-    rng = random.Random(workload.seed)
-    memory, _allocator, store = workload.build_store()
-
-    def value_for(key: int) -> bytes:
-        return bytes([(key * 31 + i) & 0xFF
-                      for i in range(workload.request_size)])
-
-    for _ in range(workload.preload):
-        key = rng.randrange(1, workload.key_space)
-        store.insert(key, value_for(key))
-        memory.drain_ops()
+    rng, memory, store, value_for = workload.warm_store()
     for _ in range(workload.num_ops):
         key = rng.randrange(1, workload.key_space)
         yield work(workload.work_per_txn)

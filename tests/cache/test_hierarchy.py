@@ -48,8 +48,13 @@ def setup():
 
 
 def _access(engine, hierarchy, addr, is_write):
+    # A hit returns its latency instead of scheduling the completion;
+    # a miss calls back when the fill is in place.
     done = []
-    hierarchy.access(addr, is_write, lambda: done.append(engine.now))
+    latency = hierarchy.access(addr, is_write,
+                               lambda: done.append(engine.now))
+    if latency is not None:
+        engine.schedule(latency, lambda: done.append(engine.now))
     engine.run_until_idle()
     return done[0]
 
